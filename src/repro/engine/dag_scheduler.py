@@ -197,6 +197,7 @@ class DAGScheduler:
                 )
         finally:
             self.ctx.task_scheduler.disarm_chaos()
+            self.ctx.shuffle_manager.drop_fetch_indexes()
             self._job = None
         job.stats.completed_at = self.ctx.sim.now
         self.ctx.job_stats.append(job.stats)

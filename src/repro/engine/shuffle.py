@@ -15,6 +15,7 @@ aggregations the payload grows linearly with the map partition count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
@@ -95,6 +96,11 @@ class _ShuffleState:
     # Lazy locality index: reduce_id -> {node: bytes}. None = stale,
     # rebuilt in one pass on the next map_output_nodes call.
     reduce_index: Optional[Dict[int, Dict[str, float]]] = None
+    # Lazy fetch index: (version it was built at, reduce_id -> ascending
+    # ids of the maps holding a block for it). Dropped on every version
+    # bump and at job end; the version tag also rejects an index that a
+    # worker-thread fetch finished building after a concurrent mutation.
+    fetch_index: Optional[Tuple[int, Dict[int, List[int]]]] = None
 
 
 class ShuffleManager:
@@ -210,6 +216,7 @@ class ShuffleManager:
             self._lost_blocks -= 1
         state.version += 1
         state.reduce_index = None
+        state.fetch_index = None
         if self._metrics is not None and written:
             # Re-executed (retried / speculative) maps physically write
             # again, so the counter honestly includes the duplicate I/O
@@ -261,14 +268,15 @@ class ShuffleManager:
             )
         contributing: List[Records] = []
         stats = FetchStats()
-        map_ids = (
-            range(state.num_maps)
-            if map_range is None
-            else range(max(0, map_range[0]), min(state.num_maps, map_range[1]))
-        )
+        map_ids = self._contributing_maps(state, reduce_id)
+        if map_range is not None:
+            map_ids = map_ids[
+                bisect_left(map_ids, map_range[0]):bisect_left(map_ids, map_range[1])
+            ]
+        blocks = state.blocks
         for map_id in map_ids:
-            block = state.blocks[map_id].get(reduce_id)
-            if block is None:
+            block = blocks[map_id].get(reduce_id)
+            if block is None:  # mutated under a deferred read; rejected at apply
                 continue
             contributing.append(block.records)
             stats.n_blocks += 1
@@ -306,6 +314,27 @@ class ShuffleManager:
                     self._remote_total.inc(nbytes)
                     self._metrics.counter("shuffle.remote_bytes", src=src).inc(nbytes)
         return records, stats
+
+    @staticmethod
+    def _contributing_maps(state: _ShuffleState, reduce_id: int) -> List[int]:
+        """Ascending ids of the maps with a non-empty block for ``reduce_id``.
+
+        Built in one pass over the stored blocks and reused by every
+        fetch until the shuffle's next mutation, so a reduce task visits
+        only the maps that wrote to it instead of probing all of them.
+        """
+        version = state.version
+        cached = state.fetch_index
+        if cached is None or cached[0] != version:
+            index: Dict[int, List[int]] = {}
+            for map_id in sorted(state.blocks):
+                for rid in state.blocks[map_id]:
+                    maps = index.get(rid)
+                    if maps is None:
+                        index[rid] = maps = []
+                    maps.append(map_id)
+            cached = state.fetch_index = (version, index)
+        return cached[1].get(reduce_id, [])
 
     def map_output_nodes(self, shuffle_id: int, reduce_id: int) -> Dict[str, float]:
         """Bytes available per node for one reduce partition (for locality)."""
@@ -360,6 +389,7 @@ class ShuffleManager:
             if gone:
                 state.version += 1
                 state.reduce_index = None
+                state.fetch_index = None
                 lost[shuffle_id] = gone
         if lost and self._obs is not None:
             for shuffle_id in sorted(lost):
@@ -368,6 +398,16 @@ class ShuffleManager:
                     shuffle=shuffle_id, node=node, maps=len(lost[shuffle_id]),
                 )
         return lost
+
+    def drop_fetch_indexes(self) -> None:
+        """Free every shuffle's fetch index; the next fetch rebuilds it.
+
+        Called at the end of each job. A finished context stays readable
+        (results, stats) long after its last fetch, and would otherwise
+        keep one index entry per stored block alive with it.
+        """
+        for state in self._shuffles.values():
+            state.fetch_index = None
 
     def has_lost_blocks(self) -> bool:
         """O(1): is any shuffle currently missing map outputs?"""

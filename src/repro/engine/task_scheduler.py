@@ -34,9 +34,10 @@ component).
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import ConfigurationError, FetchFailure, SchedulingError
 from repro.common.rng import derive_seed, seeded_rng
@@ -91,6 +92,9 @@ class _QueuedTask:
     done: bool = False
     speculated: bool = False
     enqueued_at: float = 0.0
+    # Position in the queue (see TaskScheduler._push): the locality pass
+    # merges per-node index heads in queue order by it.
+    qseq: int = 0
 
     def __post_init__(self) -> None:
         if self.attempts is None:
@@ -107,7 +111,19 @@ class TaskScheduler:
             worker.name: _ExecutorState(spec=worker, free_cores=worker.cores)
             for worker in ctx.cluster.workers
         }
-        self._queue: Deque[_QueuedTask] = deque()
+        # Executors in name order: the most-free tie-break walks them
+        # without re-sorting.
+        self._executor_order = [self._executors[n] for n in sorted(self._executors)]
+        # The task queue, in queue order. Ordered dicts keyed by task
+        # give O(1) removal from the middle (a locality match) as well
+        # as from the front.
+        self._queue: "OrderedDict[_QueuedTask, None]" = OrderedDict()
+        self._next_qseq = 0
+        # Locality index: node -> the queued tasks preferring it, in
+        # queue order.
+        self._by_pref: Dict[str, "OrderedDict[_QueuedTask, None]"] = {
+            name: OrderedDict() for name in self._executors
+        }
         # Tasks with at least one running attempt (speculation scans this).
         self._running_tasks: list = []
         # Diagnostics: speculative attempts launched / that won their race,
@@ -164,7 +180,7 @@ class TaskScheduler:
             for task in tasks:
                 queued = _QueuedTask(stage_run=stage_run, task=task)
                 queued.enqueued_at = self.ctx.sim.now
-                self._queue.append(queued)
+                self._push(queued)
             self._dispatch()
             return
         for i, task in enumerate(tasks):
@@ -174,8 +190,26 @@ class TaskScheduler:
 
     def _enqueue(self, queued: "_QueuedTask") -> None:
         queued.enqueued_at = self.ctx.sim.now
-        self._queue.append(queued)
+        self._push(queued)
         self._dispatch()
+
+    def _push(self, queued: "_QueuedTask") -> None:
+        """Append a task to the queue and to its preferred nodes' index."""
+        queued.qseq = self._next_qseq
+        self._next_qseq += 1
+        self._queue[queued] = None
+        for pref in queued.task.preferred_nodes:
+            index = self._by_pref.get(pref)
+            if index is not None:
+                index[queued] = None
+
+    def _take(self, queued: "_QueuedTask") -> None:
+        """Remove a task from the queue and from every index it is in."""
+        del self._queue[queued]
+        for pref in queued.task.preferred_nodes:
+            index = self._by_pref.get(pref)
+            if index is not None:
+                index.pop(queued, None)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -184,48 +218,59 @@ class TaskScheduler:
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        # Fast path: with no free core anywhere, pass 1 would defer every
-        # task unchanged and pass 2 would break immediately — skip the
-        # O(queue) scan (a real cost: _dispatch runs after every task
-        # completion, and busy phases keep thousands of tasks queued).
-        if not any(
-            e.alive and e.free_cores > 0 for e in self._executors.values()
-        ):
+        # Fast path: with no free core anywhere, neither pass can launch
+        # anything (a real saving: _dispatch runs after every enqueue and
+        # task completion, and busy phases keep thousands of tasks queued).
+        if not any(e.alive and e.free_cores > 0 for e in self._executor_order):
             self._m_queue_depth.set(len(self._queue))
             return
         # Batched (threaded) dispatch: grant decisions happen serially in
-        # this scan; granted bodies run on the worker pool; effects apply
-        # in grant order afterwards (see _run_batch). Entries: ("run",
+        # these passes; granted bodies run on the worker pool; effects
+        # apply in grant order afterwards (see _run_batch). Entries: ("run",
         # queued, attempt) | ("fail", queued, attempt) | ("hold", queued,
         # deadline) — recorded in serial event order so every
         # sim.schedule lands with the same (time, seq) as serial.
         batch: Optional[list] = [] if self._batching_allowed() else None
-        # Pass 1: honor locality preferences where a core is free.
-        deferred: Deque[_QueuedTask] = deque()
-        while self._queue:
-            queued = self._queue.popleft()
-            executor = self._match_preference(queued.task)
-            if executor is not None:
-                if batch is None:
-                    self._launch(queued, executor)
-                else:
-                    attempt, fail = self._grant(queued, executor, False)
-                    batch.append(("fail" if fail else "run", queued, attempt))
-            else:
-                deferred.append(queued)
-        self._queue = deferred
+        # Pass 1: honor locality preferences where a core is free. Only a
+        # task preferring a node with a free core can match, so this walks
+        # those nodes' index heads merged in queue order — the order a
+        # full queue scan meets them in — and ends once they are all full.
+        heads = [
+            (next(iter(index)).qseq, name)
+            for name, index in self._by_pref.items()
+            if index and self._executors[name].alive
+            and self._executors[name].free_cores > 0
+        ]
+        heapq.heapify(heads)
+        while heads:
+            seq, name = heapq.heappop(heads)
+            executor = self._executors[name]
+            index = self._by_pref[name]
+            if not index or not executor.alive or executor.free_cores <= 0:
+                continue
+            queued = next(iter(index))
+            if queued.qseq != seq:
+                # The head launched through another of its preferred nodes.
+                heapq.heappush(heads, (queued.qseq, name))
+                continue
+            self._take(queued)
+            self._start(queued, self._match_preference(queued.task), batch)
+            if index:
+                heapq.heappush(heads, (next(iter(index)).qseq, name))
         # Pass 2: FIFO spread onto the executor with the most free cores.
         # Delay scheduling (Spark's locality wait): a task with locality
         # preferences holds out for a preferred core for up to
-        # ``locality_wait`` seconds before accepting any slot.
+        # ``locality_wait`` seconds before accepting any slot; held tasks
+        # go back to the end of the queue.
         wait = self.ctx.conf.locality_wait
         now = self.ctx.sim.now
-        held: Deque[_QueuedTask] = deque()
+        held: list = []
         while self._queue:
             executor = self._most_free_executor()
             if executor is None:
                 break
-            queued = self._queue.popleft()
+            queued = next(iter(self._queue))
+            self._take(queued)
             if (
                 wait > 0
                 and queued.task.preferred_nodes
@@ -241,15 +286,25 @@ class TaskScheduler:
                         batch.append(("hold", queued, deadline))
                 held.append(queued)
                 continue
-            if batch is None:
-                self._launch(queued, executor)
-            else:
-                attempt, fail = self._grant(queued, executor, False)
-                batch.append(("fail" if fail else "run", queued, attempt))
-        self._queue.extend(held)
+            self._start(queued, executor, batch)
+        for queued in held:
+            self._push(queued)
         if batch:
             self._run_batch(batch)
         self._m_queue_depth.set(len(self._queue))
+
+    def _start(
+        self,
+        queued: _QueuedTask,
+        executor: _ExecutorState,
+        batch: Optional[list],
+    ) -> None:
+        """Launch now (serial) or record the grant for _run_batch."""
+        if batch is None:
+            self._launch(queued, executor)
+        else:
+            attempt, fail = self._grant(queued, executor, False)
+            batch.append(("fail" if fail else "run", queued, attempt))
 
     def _batching_allowed(self) -> bool:
         """Thread granted task bodies this dispatch round?
@@ -308,10 +363,9 @@ class TaskScheduler:
         self, exclude: Optional[str] = None
     ) -> Optional[_ExecutorState]:
         best: Optional[_ExecutorState] = None
-        for name in sorted(self._executors):
-            if name == exclude:
+        for executor in self._executor_order:
+            if executor.spec.name == exclude:
                 continue
-            executor = self._executors[name]
             if not executor.alive or executor.free_cores <= 0:
                 continue
             if best is None or executor.free_cores > best.free_cores:
@@ -502,7 +556,7 @@ class TaskScheduler:
             attempt=task.attempt, node=attempt.executor.spec.name,
         )
         queued.speculated = False
-        self._queue.append(queued)
+        self._push(queued)
         self._dispatch()
 
     # ------------------------------------------------------------------
@@ -704,7 +758,7 @@ class TaskScheduler:
                 queued.task.attempt += 1
                 queued.speculated = False
                 queued.enqueued_at = now
-                self._queue.append(queued)
+                self._push(queued)
         executor.free_cores = 0
         executor.running = 0
         lost = self.ctx.shuffle_manager.invalidate_node(name)

@@ -92,7 +92,7 @@ class EngineConf:
     # simulated clock, metrics, and results bit-identical to serial.
     # None reads REPRO_PHYSICAL_PARALLELISM (default 1).
     physical_parallelism: Optional[int] = None
-    # Use the numpy bulk kernels (partition_many / estimate_sizes) on the
+    # Use the numpy bulk kernels (partition_many / sizes_array) on the
     # per-record hot paths. Off = the scalar per-record loops; outputs
     # are bit-identical either way (benchmark knob).
     vectorized_kernels: bool = True
